@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "baselines/cset.h"
-#include "baselines/independence.h"
 #include "core/lmkg.h"
+#include "core/single_pattern.h"
 #include "data/dataset.h"
 #include "eval/suite.h"
 #include "sampling/workload.h"
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
                          generator.Generate(wopts));
     }
 
-    baselines::IndependenceEstimator indep(graph);
+    core::IndependenceEstimator indep(graph);
     baselines::CsetEstimator cset(graph);
     std::unique_ptr<core::Lmkg> lmkg = eval::BuildLmkgS(graph, options);
 

@@ -47,8 +47,8 @@
 #include <vector>
 
 #include "baselines/cset.h"
-#include "baselines/independence.h"
 #include "core/lmkg_s.h"
+#include "core/single_pattern.h"
 #include "data/dataset.h"
 #include "encoding/query_encoder.h"
 #include "eval/suite.h"
@@ -268,7 +268,7 @@ int main(int argc, char** argv) {
   // the estimator always picks a true-optimal plan.
   query::Executor executor(graph);
   planner::OracleSource oracle(&executor);
-  baselines::IndependenceEstimator independence(graph);
+  core::IndependenceEstimator independence(graph);
   baselines::CsetEstimator cset(graph);
   planner::DirectSource lmkg_source(&model, &independence);
   planner::DirectSource independence_source(&independence);

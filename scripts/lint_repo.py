@@ -63,7 +63,6 @@ THREAD_MARKERS = (
     "std::thread",
     "std::jthread",
     "std::async",
-    "ThreadPool",
     "EstimatorService",
     "ModelLifecycle",
 )

@@ -132,15 +132,14 @@ LmkgS::TrainStats LmkgS::Train(
   }
   const double log_range = scaler_.log_max() - scaler_.log_min();
 
-  // Pre-encode the whole training set.
+  // Queries are encoded batch by batch, so training memory does not grow
+  // with the training set (a pre-encoded set is data.size() x width).
   const size_t width = encoder_->width();
-  nn::Matrix features(data.size(), width);
   std::vector<float> labels(data.size());
   for (size_t i = 0; i < data.size(); ++i) {
     LMKG_CHECK(encoder_->CanEncode(data[i].query))
         << "training query not encodable: "
         << query::QueryToString(data[i].query);
-    encoder_->Encode(data[i].query, features.row(i));
     labels[i] = static_cast<float>(scaler_.Scale(data[i].cardinality));
   }
 
@@ -164,8 +163,7 @@ LmkgS::TrainStats LmkgS::Train(
       batch_x.Resize(bs, width);
       batch_y.resize(bs);
       for (size_t i = 0; i < bs; ++i) {
-        const float* src = features.row(order[start + i]);
-        std::copy(src, src + width, batch_x.row(i));
+        encoder_->Encode(data[order[start + i]].query, batch_x.row(i));
         batch_y[i] = labels[order[start + i]];
       }
       const nn::Matrix& pred = net_.Forward(batch_x, /*training=*/true);

@@ -34,18 +34,31 @@ class SinglePatternEstimator : public CardinalityEstimator {
 /// The independence combination of exact single-pattern statistics:
 /// product of per-pattern counts, divided by the join variable's domain
 /// for every repeated variable occurrence (attribute-value-independence,
-/// the estimate a plain RDF engine's optimizer would use). Shared by
-/// AdaptiveLmkg's fallback path and the standalone IndependenceEstimator
-/// so the two can never drift apart.
+/// the estimate a plain RDF engine's optimizer would use):
+///
+///   est(q) = Π_i exact(pattern_i) / Π_{v} domain(v)^(occ(v) - 1)
+///
+/// Shared by AdaptiveLmkg's fallback path and the standalone
+/// IndependenceEstimator so the two can never drift apart.
 double IndependenceCombination(const rdf::Graph& graph,
                                SinglePatternEstimator& single,
                                const query::Query& q);
 
-/// Standalone always-available estimator over IndependenceCombination —
-/// the baseline the feedback loop's deactivation list compares the
-/// learned models against (a fingerprint whose model keeps losing to
-/// THIS is routed here), and the estimator deactivated traffic is served
-/// from.
+/// Standalone always-available estimator over IndependenceCombination:
+/// the classical single-attribute-synopsis estimator in the style of the
+/// Jena ARQ optimizer (Stocker et al., WWW 2008) and RDF-3X's statistics.
+/// Every triple pattern is estimated in isolation from exact index
+/// statistics, then the estimates are combined under attribute
+/// independence and join uniformity.
+///
+/// This is the approach whose failure mode motivates LMKG (paper §I/§II:
+/// "the introduced estimation functions assume independence between the
+/// attributes which leads to underestimations" — correlated predicates
+/// make the product collapse far below the true count). It is the
+/// correlation-blindness baseline in bench_ext_baselines, the baseline
+/// the feedback loop's deactivation list compares the learned models
+/// against (a fingerprint whose model keeps losing to THIS is routed
+/// here), and the estimator deactivated traffic is served from.
 class IndependenceEstimator : public CardinalityEstimator {
  public:
   explicit IndependenceEstimator(const rdf::Graph& graph);

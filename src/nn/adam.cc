@@ -13,17 +13,23 @@ Adam::Adam(std::vector<ParamRef> params, float lr, float beta1, float beta2,
       beta1_(beta1),
       beta2_(beta2),
       epsilon_(epsilon) {
-  m_.reserve(params_.size());
-  v_.reserve(params_.size());
   for (const ParamRef& p : params_) {
     LMKG_CHECK(p.value != nullptr && p.grad != nullptr);
     LMKG_CHECK_EQ(p.value->size(), p.grad->size());
-    m_.emplace_back(p.value->size(), 0.0f);
-    v_.emplace_back(p.value->size(), 0.0f);
   }
 }
 
 void Adam::Step() {
+  // The moments start at zero on the first step, so a model that is only
+  // loaded and served (a replica) never allocates them.
+  if (m_.empty()) {
+    m_.reserve(params_.size());
+    v_.reserve(params_.size());
+    for (const ParamRef& p : params_) {
+      m_.emplace_back(p.value->size(), 0.0f);
+      v_.emplace_back(p.value->size(), 0.0f);
+    }
+  }
   ++t_;
   const float bias1 =
       1.0f - std::pow(beta1_, static_cast<float>(t_));

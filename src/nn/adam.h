@@ -24,8 +24,9 @@ class Adam {
 
  private:
   std::vector<ParamRef> params_;
-  std::vector<std::vector<float>> m_;  // first moments, per param
-  std::vector<std::vector<float>> v_;  // second moments, per param
+  // First and second moments, per param; allocated by the first Step.
+  std::vector<std::vector<float>> m_;
+  std::vector<std::vector<float>> v_;
   float lr_, beta1_, beta2_, epsilon_;
   int64_t t_ = 0;
 };

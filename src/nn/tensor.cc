@@ -1,7 +1,6 @@
 #include "nn/tensor.h"
 
 #include "nn/simd.h"
-#include "util/thread_pool.h"
 
 namespace lmkg::nn {
 namespace {
@@ -19,22 +18,14 @@ namespace {
 // Skipped exact-zero contributions change no accumulator bits (modulo the
 // sign of zero, which compares equal). A given output row therefore gets
 // bit-identical results no matter which kernel processes it — sparse vs
-// dense dispatch, 4-row block vs single-row remainder, or any thread-pool
-// row chunking — which is what lets the batched estimation path promise
-// batch == per-query equality (tests/batch_test.cc) while the kernels
-// vectorize 8-wide under AVX2.
+// dense dispatch, 4-row block vs single-row remainder — which is what
+// lets the batched estimation path promise batch == per-query equality
+// (tests/batch_test.cc) while the kernels vectorize 8-wide under AVX2.
 
 // Rows of A processed together by the blocked kernels: each pass over a
 // B-row serves kRowBlock output rows, cutting memory traffic on the
 // (usually larger) right-hand operand by the same factor.
 constexpr size_t kRowBlock = 4;
-
-// Products below this many multiply-adds are not worth fanning out to the
-// thread pool (hand-off latency would dominate).
-constexpr size_t kParallelFlopThreshold = 1u << 20;
-
-// Minimum rows a worker should own when a product is parallelized.
-constexpr size_t kParallelRowGrain = 8;
 
 // Below this fraction of nonzero entries in the left operand, the
 // zero-skipping single-row kernel beats the register-blocked one (the
@@ -269,30 +260,6 @@ inline float DotRow(const float* a, const float* b, size_t k) {
   return sum;
 }
 
-// out rows [row_begin, row_end) of a * bᵀ, dot-product form.
-void MatMulTransBRows(const Matrix& a, const Matrix& b, Matrix* out,
-                      size_t row_begin, size_t row_end) {
-  const size_t k = a.cols(), n = b.rows();
-  for (size_t i = row_begin; i < row_end; ++i) {
-    const float* arow = a.row(i);
-    float* orow = out->row(i);
-    for (size_t j = 0; j < n; ++j) orow[j] = DotRow(arow, b.row(j), k);
-  }
-}
-
-// Splits the row range over the global pool when the product is big
-// enough; output rows are disjoint per chunk, so the parallel result is
-// identical to the serial one.
-template <typename RowKernel>
-void DispatchRows(size_t m, size_t flops_per_row, RowKernel&& kernel) {
-  if (m * flops_per_row >= kParallelFlopThreshold &&
-      m >= 2 * kParallelRowGrain) {
-    util::ThreadPool::Global().ParallelFor(m, kParallelRowGrain, kernel);
-  } else {
-    kernel(0, m);
-  }
-}
-
 // One register-resident output chunk of a unit-valued sparse row: pure
 // adds of B rows selected by the index list — no zero scan, no branch
 // misprediction, no broadcast. add(w, acc) == fma(1.0f, w, acc) exactly
@@ -359,15 +326,11 @@ void MatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   // Sparse left operands (one-hot/binary query encodings, post-ReLU
   // activations) skip whole columns per row; dense ones amortize B-row
   // loads over a register block. Both kernels produce bit-identical rows.
-  const bool sparse = SampleDensity(a) < kSparseDensityCutoff;
-  DispatchRows(a.rows(), a.cols() * b.cols(),
-               [&](size_t begin, size_t end) {
-                 if (sparse) {
-                   MatMulRowsSparse(a, b, out, begin, end);
-                 } else {
-                   MatMulRows(a, b, out, begin, end);
-                 }
-               });
+  if (SampleDensity(a) < kSparseDensityCutoff) {
+    MatMulRowsSparse(a, b, out, 0, a.rows());
+  } else {
+    MatMulRows(a, b, out, 0, a.rows());
+  }
 }
 
 void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -402,10 +365,12 @@ void MatMulTransAAccum(const Matrix& a, const Matrix& b, Matrix* out) {
 void MatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   LMKG_CHECK_EQ(a.cols(), b.cols());
   out->Resize(a.rows(), b.rows());
-  DispatchRows(a.rows(), a.cols() * b.rows(),
-               [&](size_t begin, size_t end) {
-                 MatMulTransBRows(a, b, out, begin, end);
-               });
+  const size_t k = a.cols(), n = b.rows();
+  for (size_t i = 0; i < a.rows(); ++i) {
+    const float* arow = a.row(i);
+    float* orow = out->row(i);
+    for (size_t j = 0; j < n; ++j) orow[j] = DotRow(arow, b.row(j), k);
+  }
 }
 
 void AddRowVector(Matrix* m, const Matrix& bias) {

@@ -170,13 +170,12 @@ void MatMulSparseUnit(const SparseRows& a, const Matrix& b, Matrix* out);
 
 /// out = a * b. Shapes: (m x k) * (k x n) -> (m x n). out is resized.
 ///
-/// The kernel is row-blocked, explicitly vectorized through nn/simd.h
-/// (AVX2/NEON with a scalar fallback) and, for large products,
-/// row-parallel over the global util::ThreadPool — but every output row
-/// is always the ascending-k axpy sum of that row alone with a fixed
-/// column partition, so row i of a B-row product is bit-equal to the
-/// 1-row product of row i (the batched inference path depends on this to
-/// match the per-query path; see the contract comment in tensor.cc).
+/// The kernel is row-blocked and explicitly vectorized through nn/simd.h
+/// (AVX2/NEON with a scalar fallback), but every output row is always the
+/// ascending-k axpy sum of that row alone with a fixed column partition,
+/// so row i of a B-row product is bit-equal to the 1-row product of row i
+/// (the batched inference path depends on this to match the per-query
+/// path; see the contract comment in tensor.cc).
 void MatMul(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = aᵀ * b. Shapes: (k x m)ᵀ * (k x n) -> (m x n).
 void MatMulTransA(const Matrix& a, const Matrix& b, Matrix* out);

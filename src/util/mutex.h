@@ -108,7 +108,7 @@ class LMKG_SCOPED_CAPABILITY MutexLock {
 /// counterparts, but note: Clang analyzes lambda bodies as separate
 /// functions, so a predicate touching LMKG_GUARDED_BY fields will NOT
 /// compile. Callers with guarded predicates loop around the plain
-/// overloads instead (see ThreadPool::WorkerLoop); predicates over
+/// overloads instead (see ModelLifecycle::Loop); predicates over
 /// atomics (the MPSC ring, the serving done_cv) can use these directly.
 class CondVar {
  public:

@@ -47,13 +47,6 @@
 #define LMKG_PT_GUARDED_BY(x) \
   LMKG_THREAD_ANNOTATION_ATTRIBUTE(pt_guarded_by(x))
 
-/// Capability-ordering attributes (deadlock detection): this capability
-/// must be acquired before/after the listed ones.
-#define LMKG_ACQUIRED_BEFORE(...) \
-  LMKG_THREAD_ANNOTATION_ATTRIBUTE(acquired_before(__VA_ARGS__))
-#define LMKG_ACQUIRED_AFTER(...) \
-  LMKG_THREAD_ANNOTATION_ATTRIBUTE(acquired_after(__VA_ARGS__))
-
 /// Function attribute: callers must hold the listed capabilities.
 #define LMKG_REQUIRES(...) \
   LMKG_THREAD_ANNOTATION_ATTRIBUTE(requires_capability(__VA_ARGS__))

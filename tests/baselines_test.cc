@@ -3,12 +3,12 @@
 #include <cmath>
 
 #include "baselines/cset.h"
-#include "baselines/independence.h"
 #include "baselines/impr.h"
 #include "baselines/jsub.h"
 #include "baselines/mscn.h"
 #include "baselines/sumrdf.h"
 #include "baselines/wander_join.h"
+#include "core/single_pattern.h"
 #include "query/executor.h"
 #include "sampling/workload.h"
 #include "test_util.h"
@@ -17,6 +17,7 @@
 namespace lmkg::baselines {
 namespace {
 
+using core::IndependenceEstimator;
 using query::PatternTerm;
 using query::Query;
 using query::Topology;

@@ -14,7 +14,6 @@
 
 #include "baselines/cset.h"
 #include "baselines/impr.h"
-#include "baselines/independence.h"
 #include "baselines/jsub.h"
 #include "baselines/mscn.h"
 #include "baselines/sumrdf.h"
@@ -336,8 +335,8 @@ TEST_F(BatchEquivalenceTest, BaselinesViaFallback) {
     ExpectBatchMatchesSequential(&sequential, &batched, stars);
   }
   {
-    baselines::IndependenceEstimator sequential(graph_);
-    baselines::IndependenceEstimator batched(graph_);
+    core::IndependenceEstimator sequential(graph_);
+    core::IndependenceEstimator batched(graph_);
     ExpectBatchMatchesSequential(&sequential, &batched, workload);
   }
   {

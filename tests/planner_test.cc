@@ -16,7 +16,7 @@
 #include <limits>
 #include <vector>
 
-#include "baselines/independence.h"
+#include "core/single_pattern.h"
 #include "query/fingerprint.h"
 #include "query/query.h"
 #include "test_util.h"
@@ -217,7 +217,7 @@ TEST(PlannerTest, BatchedAndSerialPricingChooseIdenticalPlans) {
   // the serial loop, so any divergence would come from the planner's own
   // batched pipeline — which must not reorder or drop results.
   auto graph = lmkg::testing::MakeRandomGraph(60, 6, 700, 11);
-  baselines::IndependenceEstimator independence(graph);
+  core::IndependenceEstimator independence(graph);
   for (const Query& q : TestQueries()) {
     DirectSource source(&independence);
     PlannerConfig batched;

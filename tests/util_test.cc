@@ -20,7 +20,6 @@
 #include "util/random.h"
 #include "util/strings.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 
 namespace lmkg::util {
 namespace {
@@ -344,74 +343,6 @@ TEST(FlagsTest, DoubleAndDefaults) {
   EXPECT_FALSE(flags.Has("y"));
 }
 
-// --- thread pool ------------------------------------------------------------
-
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> touched(1000);
-  pool.ParallelFor(touched.size(), 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i)
-      touched[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& t : touched) EXPECT_EQ(t.load(), 1);
-}
-
-TEST(ThreadPoolTest, ZeroThreadPoolRunsInline) {
-  ThreadPool pool(0);
-  size_t total = 0;
-  pool.ParallelFor(17, 4, [&](size_t begin, size_t end) {
-    total += end - begin;  // inline: no synchronization needed
-  });
-  EXPECT_EQ(total, 17u);
-}
-
-TEST(ThreadPoolTest, NestingAcrossDifferentPoolsIsAllowed) {
-  // Only SAME-pool nesting deadlocks; a body may submit to another pool
-  // (independent locks), and the debug guard must not trip on it.
-  ThreadPool outer(2);
-  ThreadPool inner(0);  // inline — runs on the outer pool's threads
-  std::atomic<size_t> total{0};
-  outer.ParallelFor(8, 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i)
-      inner.ParallelFor(3, 1, [&](size_t b, size_t e) {
-        total.fetch_add(e - b, std::memory_order_relaxed);
-      });
-  });
-  EXPECT_EQ(total.load(), 24u);
-}
-
-#ifndef NDEBUG
-// The debug reentrancy guard turns the nested-ParallelFor deadlock into
-// an immediate LMKG_CHECK failure. Debug builds only (the release build
-// compiles the guard out).
-TEST(ThreadPoolDeathTest, NestedParallelForAborts) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(2);
-        pool.ParallelFor(8, 1, [&](size_t, size_t) {
-          pool.ParallelFor(2, 1, [](size_t, size_t) {});
-        });
-      },
-      "not reentrant");
-}
-
-TEST(ThreadPoolDeathTest, NestedInlinePathAlsoAborts) {
-  // Even a nested call that would run inline (tiny n) violates the
-  // contract and must fail fast — whether it runs inline depends on the
-  // pool size, not the call site.
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_DEATH(
-      {
-        ThreadPool pool(2);
-        pool.ParallelFor(8, 1, [&](size_t, size_t) {
-          pool.ParallelFor(1, 1, [](size_t, size_t) {});
-        });
-      },
-      "not reentrant");
-}
-#endif  // NDEBUG
-
 // --- latency histogram ------------------------------------------------------
 
 TEST(LatencyHistogramTest, EmptyHistogramReportsZeros) {
@@ -478,12 +409,13 @@ TEST(LatencyHistogramTest, OutOfRangeSamplesClampToEdgeBuckets) {
 
 TEST(LatencyHistogramTest, ConcurrentRecordsAllLand) {
   LatencyHistogram h;
-  ThreadPool pool(4);
-  pool.ParallelFor(8, 1, [&](size_t begin, size_t end) {
-    for (size_t t = begin; t < end; ++t)
-      for (int i = 0; i < 10000; ++i)
-        h.Record(1.0 + static_cast<double>(t));
-  });
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&h, t] {
+      for (int i = 0; i < 20000; ++i) h.Record(1.0 + t);
+    });
+  }
+  for (std::thread& th : threads) th.join();
   EXPECT_EQ(h.TotalCount(), 80000u);
 }
 
