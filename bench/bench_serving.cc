@@ -28,7 +28,8 @@
 // with the full loop closed (served estimates noted in a
 // FeedbackCollector, every query executed through query::Executor whose
 // truth sink feeds the collector, lifecycle cycles draining the pairs
-// into blended incremental retrains and per-combo swaps) and once with
+// into blended incremental retrains, each pushed to the replicas as a
+// snapshot swap) and once with
 // feedback disabled (same serving + lifecycle, no collector). The
 // feedback run's median q-error must converge measurably below the
 // feedback-off run's; the JSON's feedback_loop.qerror_convergence_ratio
@@ -627,7 +628,8 @@ int main(int argc, char** argv) {
       aconfig.train_queries = options.train_queries_per_combo;
       aconfig.workload_options.max_cardinality = options.max_cardinality;
       // Freeze the pool: this phase isolates the FEEDBACK path (weights
-      // change, pool doesn't), so every swap is the incremental one.
+      // change, pool doesn't), so every swap is weights-only and counts
+      // as incremental.
       aconfig.monitor.min_observations = 1u << 30;
       aconfig.initial_combos = {{Topology::kStar, 2}};
       aconfig.seed = options.seed + 11;
@@ -698,8 +700,8 @@ int main(int argc, char** argv) {
     run_drift(/*with_feedback=*/false, &fb_off_curve);
 
     util::TablePrinter fb_table(
-        "Feedback loop: executor truths -> incremental retrain "
-        "(star-2 drift, median q-error per cycle)");
+        "Feedback loop: executor truths -> incremental retrain -> "
+        "snapshot swap (star-2 drift, median q-error per cycle)");
     fb_table.SetHeader({"cycle", "feedback on", "feedback off"});
     for (size_t i = 0; i < fb_on_curve.size(); ++i)
       fb_table.AddRow(util::StrFormat("%zu", i),

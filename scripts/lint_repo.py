@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Repo-specific lints that generic tooling cannot express.
 
-Four checks, each pinning an invariant some other part of the repo
+Five checks, each pinning an invariant some other part of the repo
 relies on but cannot enforce locally:
 
   threaded-labels   Every test suite whose source spawns threads (or
@@ -21,6 +21,19 @@ relies on but cannot enforce locally:
                     std::mutex is invisible to it, so every field it
                     guards silently falls out of the -Wthread-safety
                     proof.
+
+  tsan-modelable    No std::atomic_thread_fence and no
+                    std::atomic<std::shared_ptr<...>> under src/. The
+                    TSan CI leg cannot check either: TSan does not model
+                    standalone fences (GCC 11+ rejects them outright
+                    under -fsanitize=thread with -Werror=tsan), and GCC
+                    12's libstdc++ releases the internal lock of an
+                    atomic shared_ptr with a relaxed store in load(), so
+                    TSan reports a race on every concurrent reader.
+                    Write handshakes as seq_cst atomic operations and
+                    guard shared snapshots with util::Mutex instead. This
+                    lint runs on the fast legs, so the slow TSan leg is
+                    not the first place either construct shows up.
 
   zero-alloc-pins   No raw heap-allocation keywords (new / malloc /
                     calloc / realloc / strdup) in the hot-path files
@@ -74,7 +87,11 @@ RAW_LOCK_RE = re.compile(
     r"std::(?:mutex|recursive_mutex|shared_mutex|timed_mutex|"
     r"scoped_lock|lock_guard|unique_lock|shared_lock|"
     r"condition_variable(?:_any)?)\b")
-RAW_LOCK_ALLOWED = {Path("src/util/mutex.h")}
+RAW_LOCK_ALLOWED = frozenset({Path("src/util/mutex.h")})
+
+# Constructs the TSan leg cannot model (see the module docstring).
+TSAN_UNMODELABLE_RE = re.compile(
+    r"std::atomic_thread_fence\b|std::atomic\s*<\s*std::shared_ptr\b")
 
 # Files on the alloc_test-pinned hot paths (fingerprinting, query
 # canonicalization, batch encoding, DP planning, tensor kernels). Their
@@ -160,24 +177,39 @@ def check_threaded_labels() -> list[str]:
     return errors
 
 
-def check_mutex_wrappers() -> list[str]:
+def scan_src(pattern: re.Pattern, message: str,
+             allowed: frozenset = frozenset()) -> list[str]:
+    """One error per code line under src/ (comments and strings
+    stripped) matching `pattern`, outside the `allowed` files."""
     errors = []
     for path in sorted((REPO_ROOT / "src").rglob("*")):
         if path.suffix not in (".h", ".cc"):
             continue
         rel = path.relative_to(REPO_ROOT)
-        if rel in RAW_LOCK_ALLOWED:
+        if rel in allowed:
             continue
         code = strip_comments_and_strings(path.read_text())
         for lineno, line in enumerate(code.splitlines(), start=1):
-            match = RAW_LOCK_RE.search(line)
+            match = pattern.search(line)
             if match:
-                errors.append(
-                    f"{rel}:{lineno}: raw {match.group(0)} — use the "
-                    "annotated util::Mutex/MutexLock/CondVar wrappers "
-                    "(src/util/mutex.h) so -Wthread-safety can see the "
-                    "lock")
+                errors.append(f"{rel}:{lineno}: {match.group(0)} — "
+                              f"{message}")
     return errors
+
+
+def check_mutex_wrappers() -> list[str]:
+    return scan_src(RAW_LOCK_RE,
+                    "raw lock; use the annotated util::Mutex/MutexLock/"
+                    "CondVar wrappers (src/util/mutex.h) so "
+                    "-Wthread-safety can see the lock",
+                    RAW_LOCK_ALLOWED)
+
+
+def check_tsan_modelable() -> list[str]:
+    return scan_src(TSAN_UNMODELABLE_RE,
+                    "TSan cannot model it (see scripts/lint_repo.py); use "
+                    "seq_cst atomic operations or a util::Mutex-guarded "
+                    "std::shared_ptr")
 
 
 def check_zero_alloc_pins() -> list[str]:
@@ -249,6 +281,7 @@ def main() -> int:
     checks = [
         ("threaded-labels", check_threaded_labels),
         ("mutex-wrappers", check_mutex_wrappers),
+        ("tsan-modelable", check_tsan_modelable),
         ("zero-alloc-pins", check_zero_alloc_pins),
         ("baseline-keys", check_baseline_keys),
     ]

@@ -412,9 +412,6 @@ namespace {
 
 constexpr uint32_t kSnapshotMagic = 0x4c4d4b41;  // "LMKA"
 constexpr uint32_t kSnapshotVersion = 1;
-// Per-combo incremental model snapshot (SaveModel/LoadModel).
-constexpr uint32_t kModelMagic = 0x4c4d4b4d;  // "LMKM"
-constexpr uint32_t kModelVersion = 1;
 // Upper bound on a plausible combo size in a snapshot: far above any
 // trainable query size, far below anything that could push a corrupt
 // value into encoder-width arithmetic (or a bad_alloc out of a function
@@ -544,80 +541,6 @@ util::Status AdaptiveLmkg::Load(std::istream& in) {
   mapped_hydrated_.clear();
   monitor_.RestoreState(monitor);
   models_created_ = static_cast<size_t>(created);
-  return util::Status::Ok();
-}
-
-util::Status AdaptiveLmkg::SaveModel(const Combo& combo,
-                                     std::ostream& out) {
-  const auto it = models_.find(combo);
-  if (it == models_.end())
-    return util::Status::Error(util::StrFormat(
-        "adaptive: no model for combo %s-%d",
-        TopologyName(combo.topology), combo.size));
-  nn::WriteU32(out, kModelMagic);
-  nn::WriteU32(out, kModelVersion);
-  // Same config header as the full snapshot: reject a Load into a
-  // mismatched architecture before touching tensors.
-  nn::WriteU32(out, static_cast<uint32_t>(config_.term_encoding));
-  nn::WriteU32(out, static_cast<uint32_t>(config_.s_config.hidden_dim));
-  nn::WriteU32(out,
-               static_cast<uint32_t>(config_.s_config.num_hidden_layers));
-  nn::WriteU32(out, static_cast<uint32_t>(combo.topology));
-  nn::WriteU32(out, static_cast<uint32_t>(combo.size));
-  util::Status status = it->second->Save(out);
-  if (!status.ok()) return status;
-  out.flush();
-  if (!out)
-    return util::Status::Error("adaptive: combo snapshot write failed");
-  return util::Status::Ok();
-}
-
-util::Status AdaptiveLmkg::LoadModel(const Combo& combo,
-                                     std::istream& in) {
-  uint32_t magic = 0, version = 0;
-  if (!nn::ReadU32(in, &magic) || magic != kModelMagic)
-    return util::Status::Error(
-        "adaptive: bad magic (not an LMKG combo snapshot)");
-  if (!nn::ReadU32(in, &version) || version != kModelVersion)
-    return util::Status::Error(util::StrFormat(
-        "adaptive: unsupported combo snapshot version %u", version));
-  uint32_t term_encoding = 0, hidden_dim = 0, hidden_layers = 0;
-  if (!nn::ReadU32(in, &term_encoding) || !nn::ReadU32(in, &hidden_dim) ||
-      !nn::ReadU32(in, &hidden_layers))
-    return util::Status::Error("adaptive: truncated combo config header");
-  if (term_encoding != static_cast<uint32_t>(config_.term_encoding) ||
-      hidden_dim != static_cast<uint32_t>(config_.s_config.hidden_dim) ||
-      hidden_layers !=
-          static_cast<uint32_t>(config_.s_config.num_hidden_layers))
-    return util::Status::Error("adaptive: combo snapshot config mismatch");
-  uint32_t topology = 0, size = 0;
-  if (!nn::ReadU32(in, &topology) || !nn::ReadU32(in, &size))
-    return util::Status::Error("adaptive: truncated combo header");
-  if (topology != static_cast<uint32_t>(combo.topology) ||
-      size != static_cast<uint32_t>(combo.size))
-    return util::Status::Error(util::StrFormat(
-        "adaptive: combo snapshot is %s-%u, expected %s-%d",
-        TopologyName(static_cast<Topology>(topology)), size,
-        TopologyName(combo.topology), combo.size));
-  if (topology > static_cast<uint32_t>(Topology::kComposite) || size < 2 ||
-      size > kMaxComboSize)
-    return util::Status::Error("adaptive: corrupt combo header");
-  // Rehydrate into a scratch model first: a mid-stream failure must
-  // leave the served registry untouched.
-  auto model =
-      std::make_unique<LmkgS>(MakeComboEncoder(combo), config_.s_config);
-  util::Status status = model->Load(in);
-  if (!status.ok()) return status;
-  // The fresh weights supersede any store-backed version of this combo
-  // (the old hydrated model — and its borrow of the mapping — dies
-  // here; the mapping itself belongs to the cache and lives on).
-  if (const auto it = std::lower_bound(mapped_pending_.begin(),
-                                       mapped_pending_.end(), combo);
-      it != mapped_pending_.end() && *it == combo)
-    mapped_pending_.erase(it);
-  mapped_probes_.erase(combo);
-  mapped_hydrated_.erase(combo);
-  models_[combo] = std::move(model);
   return util::Status::Ok();
 }
 

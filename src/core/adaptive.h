@@ -103,9 +103,8 @@ class AdaptiveLmkg : public CardinalityEstimator {
     std::vector<Combo> created;
     std::vector<Combo> dropped;
     /// Combos whose existing model was incrementally retrained on
-    /// blended executor feedback — the per-combo swap set a lifecycle
-    /// ships instead of a full snapshot when nothing was created or
-    /// dropped.
+    /// blended executor feedback — the segments a lifecycle persists
+    /// when nothing was created or dropped.
     std::vector<Combo> updated;
   };
 
@@ -146,17 +145,6 @@ class AdaptiveLmkg : public CardinalityEstimator {
   /// (the snapshot carries the real ones).
   util::Status Save(std::ostream& out);
   util::Status Load(std::istream& in);
-
-  /// Per-combo incremental snapshot: serializes ONE combo's model (own
-  /// magic + combo header + LmkgS params) so a lifecycle that only
-  /// retrained that combo ships kilobytes instead of the whole registry.
-  /// SaveModel fails if the combo has no model; LoadModel creates or
-  /// replaces the combo's model in place (same config-compatibility
-  /// checks as Load; the stream's combo header must match `combo`).
-  /// After loading into a SERVED replica, bump the service epoch — the
-  /// model's estimates changed.
-  util::Status SaveModel(const Combo& combo, std::ostream& out);
-  util::Status LoadModel(const Combo& combo, std::istream& in);
 
   /// Weight views + label scaler a mapped-model provider hands back at
   /// hydration time. The views point into storage the provider's owner

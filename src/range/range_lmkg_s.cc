@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
-#include <ostream>
 
 #include "nn/loss.h"
-#include "nn/serialize.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
 
@@ -117,24 +115,6 @@ double RangeLmkgS::EstimateCardinality(const RangeQuery& q) {
 
 bool RangeLmkgS::CanEstimate(const RangeQuery& q) const {
   return encoder_->CanEncode(q);
-}
-
-util::Status RangeLmkgS::Save(std::ostream& out) {
-  LMKG_CHECK(trained_) << "LMKG-S-R Save before Train";
-  double header[2] = {scaler_.log_min(), scaler_.log_max()};
-  out.write(reinterpret_cast<const char*>(header), sizeof(header));
-  return nn::SaveParams(net_.Params(), out);
-}
-
-util::Status RangeLmkgS::Load(std::istream& in) {
-  double header[2] = {0.0, 0.0};
-  in.read(reinterpret_cast<char*>(header), sizeof(header));
-  if (!in) return util::Status::Error("lmkg-s-r: truncated scaler header");
-  util::Status status = nn::LoadParams(net_.Params(), in);
-  if (!status.ok()) return status;
-  scaler_.Restore(header[0], header[1]);
-  trained_ = true;
-  return util::Status::Ok();
 }
 
 size_t RangeLmkgS::MemoryBytes() const {

@@ -2,7 +2,6 @@
 #define LMKG_RANGE_RANGE_LMKG_S_H_
 
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,7 +12,6 @@
 #include "range/range_encoder.h"
 #include "range/range_workload.h"
 #include "util/math.h"
-#include "util/status.h"
 
 namespace lmkg::range {
 
@@ -44,11 +42,6 @@ class RangeLmkgS {
   bool CanEstimate(const RangeQuery& q) const;
   std::string name() const { return "LMKG-S-R"; }
   size_t MemoryBytes() const;
-
-  /// Persists the trained weights + label scaler; Load requires an
-  /// instance built with the same encoder/config.
-  util::Status Save(std::ostream& out);
-  util::Status Load(std::istream& in);
 
   const RangeQueryEncoder& encoder() const { return *encoder_; }
 

@@ -216,14 +216,12 @@ class EstimatorService {
       std::unique_ptr<core::CardinalityEstimator> replacement);
 
   /// Runs `fn` on shard `index`'s LIVE replica under that shard's
-  /// replica mutex — the in-place alternative to ReplaceReplica for
-  /// incremental mutations (loading one combo's updated model into an
-  /// AdaptiveLmkg replica, inserting into an outlier buffer) where
-  /// shipping a whole fresh replica per shard would copy the unchanged
-  /// majority of the registry. The shard's worker and inline callers
-  /// block for the duration, so keep `fn` to deserialize-and-swap work.
-  /// Same protocol as ReplaceReplica: mutate every shard, then
-  /// AdvanceEpoch() once.
+  /// replica mutex — for small in-place mutations (inserting into an
+  /// outlier buffer) and for reading per-replica state (stage timings).
+  /// Model swaps go through ReplaceReplica instead. The shard's worker
+  /// and inline callers block for the duration, so keep `fn` short. A
+  /// mutation follows the ReplaceReplica protocol: mutate every shard,
+  /// then AdvanceEpoch() once.
   void WithReplica(size_t index,
                    const std::function<void(core::CardinalityEstimator*)>& fn);
 

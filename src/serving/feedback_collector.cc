@@ -165,7 +165,11 @@ void FeedbackCollector::Record(const query::Query& q,
 
 bool FeedbackCollector::IsDeactivated(const query::Fingerprint& fp) const {
   if (deactivated_count_.load(std::memory_order_relaxed) == 0) return false;
-  auto snapshot = deactivated_.load(std::memory_order_acquire);
+  std::shared_ptr<const std::vector<query::Fingerprint>> snapshot;
+  {
+    util::MutexLock lock(&deactivated_mu_);
+    snapshot = deactivated_;
+  }
   if (snapshot == nullptr) return false;
   return std::binary_search(snapshot->begin(), snapshot->end(), fp,
                             FingerprintLess);
@@ -181,10 +185,15 @@ void FeedbackCollector::PublishDeactivated(
   std::sort(list.begin(), list.end(), FingerprintLess);
   auto snapshot = std::make_shared<const std::vector<query::Fingerprint>>(
       std::move(list));
-  // Publish the list before the count: a reader that sees the new count
-  // must find the matching snapshot behind it.
-  deactivated_.store(snapshot, std::memory_order_release);
-  deactivated_count_.store(snapshot->size(), std::memory_order_release);
+  const size_t count = snapshot->size();
+  // Publish the list before the count; a reader racing the publish finds
+  // the old list or the new one, both consistent answers. The swap frees
+  // the old list outside the lock.
+  {
+    util::MutexLock lock(&deactivated_mu_);
+    deactivated_.swap(snapshot);
+  }
+  deactivated_count_.store(count, std::memory_order_release);
 }
 
 DeactivationReport FeedbackCollector::UpdateDeactivation() {
@@ -251,12 +260,6 @@ void FeedbackCollector::SetProbe(
     std::unique_ptr<core::CardinalityEstimator> probe) {
   util::MutexLock lock(&probe_mu_);
   probe_ = std::move(probe);
-}
-
-void FeedbackCollector::UpdateProbe(
-    const std::function<void(core::CardinalityEstimator*)>& fn) {
-  util::MutexLock lock(&probe_mu_);
-  fn(probe_.get());
 }
 
 bool FeedbackCollector::has_probe() const {

@@ -106,8 +106,8 @@ struct FeedbackStatsSnapshot {
 /// Threading: NoteEstimate and RecordTruth are the hot path — sub-sharded
 /// try-locks, a contended or full store drops the sample and counts it,
 /// never stalling a client or an executor. IsDeactivated is one relaxed
-/// load when the list is empty (the common case) and an atomic
-/// shared_ptr snapshot + binary search otherwise. DrainTrainingPairs and
+/// load when the list is empty (the common case) and a shared_ptr copy
+/// under a short mutex + binary search otherwise. DrainTrainingPairs and
 /// UpdateDeactivation take blocking locks and belong on the lifecycle
 /// thread. FallbackEstimate serializes on an internal mutex (the
 /// fallback estimator is not thread-safe); it only carries deactivated
@@ -173,18 +173,12 @@ class FeedbackCollector {
 
   /// Installs the shadow model probed by RecordTruth for deactivated
   /// fingerprints (owned). The lifecycle hands a fresh replica here
-  /// after every full swap so recovery is measured against the model
+  /// after every swap so recovery is measured against the model
   /// actually serving.
   void SetProbe(std::unique_ptr<core::CardinalityEstimator> probe);
 
-  /// Runs `fn` on the owned probe under the probe mutex (nullptr if none
-  /// installed) — how the lifecycle applies a per-combo incremental
-  /// update to the probe without re-shipping a full snapshot.
-  void UpdateProbe(
-      const std::function<void(core::CardinalityEstimator*)>& fn);
-
-  /// Whether a probe is installed (lifecycles install one lazily on the
-  /// first swap after construction).
+  /// Whether a probe is installed (a lifecycle installs one on every
+  /// swap).
   bool has_probe() const;
 
   FeedbackStatsSnapshot Stats() const;
@@ -234,15 +228,16 @@ class FeedbackCollector {
   std::atomic<size_t> entry_count_{0};
 
   // Sorted snapshot of the deactivated fingerprints; swapped whole by
-  // UpdateDeactivation, read lock-free by IsDeactivated. The count
-  // short-circuits the common nothing-deactivated case to one relaxed
-  // load. Deliberately outside the lock analysis: the atomic
-  // shared_ptr's release-store / acquire-load pair (publish list before
-  // count, see PublishDeactivated) IS the synchronization, and TSan
-  // covers it under the `threaded` feedback stress suite.
+  // UpdateDeactivation. IsDeactivated copies the pointer under the mutex
+  // and searches the immutable list outside it. The count short-circuits
+  // the common nothing-deactivated case to one relaxed load, taking no
+  // lock. A plain mutex rather than std::atomic<std::shared_ptr>: GCC
+  // 12's libstdc++ releases that type's internal lock with a relaxed
+  // store, which TSan reports as a race.
   std::atomic<size_t> deactivated_count_{0};
-  std::atomic<std::shared_ptr<const std::vector<query::Fingerprint>>>
-      deactivated_;
+  mutable util::Mutex deactivated_mu_;
+  std::shared_ptr<const std::vector<query::Fingerprint>> deactivated_
+      LMKG_GUARDED_BY(deactivated_mu_);
 
   util::Mutex fallback_mu_;
 

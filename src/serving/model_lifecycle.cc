@@ -87,40 +87,26 @@ LifecycleReport ModelLifecycle::RunOnce() {
   report.adapt = shadow_->Adapt();
   const bool pool_changed =
       !report.adapt.created.empty() || !report.adapt.dropped.empty();
-  const bool weights_changed = !report.adapt.updated.empty();
-  if (pool_changed) {
-    // 3a. The POOL changed (models created or dropped): ship the whole
-    // registry — rehydrate one replica per slot from a full snapshot,
-    // swap each in, then advance the epoch once (the stale-cache-safety
-    // contract; see EstimatorService).
+  if (pool_changed || !report.adapt.updated.empty()) {
+    // 3. Ship the new generation: rehydrate one replica per slot from a
+    // full snapshot, swap each in, then advance the epoch once (the
+    // stale-cache-safety contract; see EstimatorService). Whether models
+    // were created, dropped or only retrained, the push is the same.
     SwapAllReplicas();
     report.swapped = true;
+    report.incremental = !pool_changed;
     swaps_.fetch_add(1, std::memory_order_relaxed);
-  } else if (weights_changed) {
-    // 3b. Only WEIGHTS changed (feedback retrains): ship just the
-    // updated combos, loading each into every live replica in place
-    // under its shard's replica mutex — kilobytes over the wire instead
-    // of the whole registry. Same epoch protocol: mutate every replica,
-    // THEN advance once.
-    if (SwapUpdatedCombos(report.adapt.updated)) {
-      report.incremental = true;
+    if (report.incremental)
       incremental_swaps_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // A replica is not an AdaptiveLmkg — per-combo loads have nowhere
-      // to land; fall back to the full swap.
-      SwapAllReplicas();
-    }
-    report.swapped = true;
-    swaps_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  // 3c. Persist the swap: whatever just went live also lands in the
+  // 4. Persist the swap: whatever just went live also lands in the
   // durable store, so the next cold start mmaps today's weights instead
   // of retraining (or serving yesterday's).
   if (report.swapped && config_.store != nullptr)
     report.persisted = PersistSwap(report.adapt, report.incremental);
 
-  // 4. Refresh the deactivation list from the rolling q-errors — every
+  // 5. Refresh the deactivation list from the rolling q-errors — every
   // cycle, swap or not: deactivation is driven by accumulated truths,
   // not by model changes, and the flip routes around the cache so it
   // needs no epoch bump of its own.
@@ -151,63 +137,6 @@ void ModelLifecycle::SwapAllReplicas() {
   // reactivation would be judged against stale weights.
   if (config_.feedback != nullptr)
     config_.feedback->SetProbe(replica_factory_(snapshot));
-}
-
-bool ModelLifecycle::SwapUpdatedCombos(
-    const std::vector<core::AdaptiveLmkg::Combo>& combos) {
-  // Serialize each updated combo ONCE; every replica (and the probe)
-  // loads the same blob.
-  std::vector<std::pair<core::AdaptiveLmkg::Combo, std::string>> blobs;
-  blobs.reserve(combos.size());
-  for (const core::AdaptiveLmkg::Combo& combo : combos) {
-    std::ostringstream out;
-    const util::Status status = shadow_->SaveModel(combo, out);
-    LMKG_CHECK(status.ok())
-        << "combo snapshot failed: " << status.message();
-    blobs.emplace_back(combo, out.str());
-  }
-  bool all_adaptive = true;
-  for (size_t i = 0; i < service_->num_replicas() && all_adaptive; ++i) {
-    service_->WithReplica(i, [&](core::CardinalityEstimator* replica) {
-      auto* adaptive = dynamic_cast<core::AdaptiveLmkg*>(replica);
-      if (adaptive == nullptr) {
-        all_adaptive = false;
-        return;
-      }
-      for (const auto& [combo, blob] : blobs) {
-        std::istringstream in(blob);
-        const util::Status status = adaptive->LoadModel(combo, in);
-        LMKG_CHECK(status.ok())
-            << "combo load failed: " << status.message();
-      }
-    });
-  }
-  if (!all_adaptive) return false;
-  service_->AdvanceEpoch();
-  if (config_.feedback != nullptr) {
-    if (!config_.feedback->has_probe()) {
-      // First swap was incremental: the probe needs a full rehydration
-      // once; subsequent incremental swaps patch it combo by combo.
-      std::ostringstream out;
-      const util::Status status = shadow_->Save(out);
-      LMKG_CHECK(status.ok())
-          << "probe snapshot failed: " << status.message();
-      config_.feedback->SetProbe(replica_factory_(out.str()));
-    } else {
-      config_.feedback->UpdateProbe(
-          [&](core::CardinalityEstimator* probe) {
-            auto* adaptive = dynamic_cast<core::AdaptiveLmkg*>(probe);
-            if (adaptive == nullptr) return;
-            for (const auto& [combo, blob] : blobs) {
-              std::istringstream in(blob);
-              const util::Status status = adaptive->LoadModel(combo, in);
-              LMKG_CHECK(status.ok())
-                  << "probe combo load failed: " << status.message();
-            }
-          });
-    }
-  }
-  return true;
 }
 
 bool ModelLifecycle::PersistSwap(

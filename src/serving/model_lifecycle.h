@@ -35,10 +35,11 @@ struct ModelLifecycleConfig {
   /// Durable model store to persist swaps into (borrowed; must outlive
   /// the lifecycle; nullptr disables persistence). After every swap the
   /// changed combos are written as segments under `store_tenant` and
-  /// committed in one manifest bump — an incremental swap ships single
-  /// segments, a full swap rewrites the tenant's whole set (and removes
-  /// segments for dropped combos). A crashed process then cold-starts
-  /// by mmapping the store instead of retraining.
+  /// committed in one manifest bump — a weights-only (incremental) swap
+  /// writes just the retrained combos' segments, any other swap rewrites
+  /// the tenant's whole set (and removes segments for dropped combos).
+  /// A crashed process then cold-starts by mmapping the store instead
+  /// of retraining.
   store::ModelStore* store = nullptr;
   std::string store_tenant = "default";
   /// Executor-feedback loop (borrowed; must outlive the lifecycle;
@@ -61,9 +62,9 @@ struct LifecycleReport {
   /// Whether the serving replicas changed (implies the cache epoch
   /// advanced).
   bool swapped = false;
-  /// True when the change shipped as per-combo incremental loads into
-  /// the live replicas (only feedback-retrained combos crossed the
-  /// wire) instead of whole-registry replica swaps.
+  /// True when only feedback-retrained weights changed (no model was
+  /// created or dropped), so the store persist wrote just those combos'
+  /// segments. The replicas are swapped from a full snapshot either way.
   bool incremental = false;
   /// Deactivation-list changes this cycle (zeroes without a collector).
   DeactivationReport deactivation;
@@ -85,13 +86,18 @@ struct LifecycleReport {
 /// Each cycle: (1) drain the EstimatorService workload tap and mirror the
 /// sampled queries into the shadow AdaptiveLmkg's WorkloadMonitor;
 /// (2) run Adapt() on the shadow — all training happens on the lifecycle
-/// thread, on a model no worker touches; (3) if the model pool changed,
-/// snapshot the shadow (AdaptiveLmkg::Save), rehydrate one fresh replica
-/// per serving slot through the caller's ReplicaFactory, swap each in
-/// under its replica mutex, and advance the service epoch — which
-/// atomically turns every result cached against the old generation into
-/// a miss. Workers at most wait out a pointer swap; requests keep
-/// flowing on the old generation until the instant theirs is replaced.
+/// thread, on a model no worker touches; (3) if any model was created,
+/// dropped or feedback-retrained, snapshot the shadow
+/// (AdaptiveLmkg::Save), rehydrate one fresh replica per serving slot
+/// through the caller's ReplicaFactory, swap each in under its replica
+/// mutex, advance the service epoch — which atomically turns every
+/// result cached against the old generation into a miss — and hand the
+/// feedback collector a probe rehydrated from the same snapshot;
+/// (4) persist the changed combos into the configured store; (5) refresh
+/// the collector's deactivation list. Workers at most wait out a pointer
+/// swap; requests keep flowing on the old generation until the instant
+/// theirs is replaced. The snapshot is the one push path: every replica
+/// and the probe hold exactly the shadow's weights after any swap.
 ///
 /// Threading: the shadow is the lifecycle's alone — the owner must not
 /// call into it while the lifecycle runs (Stop() first). RunOnce is
@@ -133,21 +139,17 @@ class ModelLifecycle {
     return cycles_.load(std::memory_order_relaxed);
   }
   uint64_t swaps() const { return swaps_.load(std::memory_order_relaxed); }
-  /// Swaps that shipped per-combo (subset of swaps()).
+  /// Swaps where only feedback-retrained weights changed (subset of
+  /// swaps(); see LifecycleReport::incremental).
   uint64_t incremental_swaps() const {
     return incremental_swaps_.load(std::memory_order_relaxed);
   }
 
  private:
   void Loop();
-  // Full-registry swap: snapshot the shadow, rehydrate + replace every
-  // replica, refresh the collector's probe. Caller advances the epoch.
+  // Snapshot the shadow once, rehydrate + replace every replica, advance
+  // the epoch, and install a probe from the same snapshot.
   void SwapAllReplicas();
-  // Per-combo swap: serialize each updated combo once, load it into
-  // every live replica in place (and the probe). Returns false if any
-  // replica is not an AdaptiveLmkg — the caller falls back to a full
-  // swap. Caller advances the epoch on success.
-  bool SwapUpdatedCombos(const std::vector<core::AdaptiveLmkg::Combo>& combos);
   // Writes this cycle's model changes into config_.store and commits.
   // `incremental` ships only the adapt report's updated combos; a full
   // persist reconciles the tenant's whole segment set against the

@@ -42,8 +42,8 @@ util::Status AttachReplica(StoreCache* cache, const std::string& tenant,
                            const AttachOptions& options = {});
 
 /// Stages one combo of a replica's registry as a store segment
-/// (ModelStore::Commit publishes it) — the write half of an incremental
-/// lifecycle swap. The model must be trained (or hydrated).
+/// (ModelStore::Commit publishes it) — how a lifecycle swap persists
+/// each changed combo. The model must be trained (or hydrated).
 util::Status WriteModelSegment(ModelStore* store,
                                const std::string& tenant,
                                const core::WorkloadMonitor::Combo& combo,

@@ -33,19 +33,31 @@ class LMKG_CAPABILITY("role") ExclusiveRole {};
 /// sequence number that encodes whether it is free for the producer of
 /// ticket `pos` (seq == pos) or holds the item for the consumer of
 /// ticket `pos` (seq == pos + 1), so a push is one CAS on the tail
-/// ticket plus a release store, and a pop is one acquire load plus a
+/// ticket plus a seq_cst store, and a pop is one acquire load plus a
 /// release store — no slot is ever read before its payload is published.
 ///
 /// Parking: the lock-free fast path never touches a mutex. Only when a
 /// side would otherwise spin — the consumer finding the ring empty, a
 /// producer finding it full — does it fall back to a condvar (the
 /// portable stand-in for a raw futex; on Linux the condvar IS a futex
-/// under glibc). The waiter advertises itself in an atomic flag, issues
-/// a full fence, and re-checks the ring before sleeping; the other side
-/// pairs the fence after its ring operation and only then takes the
-/// mutex to notify — the classic Dekker handshake that makes a missed
-/// wakeup impossible without slowing the uncontended path by more than
-/// one relaxed load.
+/// under glibc). The consumer's handshake is a Dekker pair written in
+/// seq_cst atomic operations: the consumer stores
+/// `consumer_parked_ = true` and then loads the head cell's `seq`
+/// (ItemReady) before sleeping; a producer stores the cell's `seq` and
+/// then loads `consumer_parked_`. All four are seq_cst, so they fall in
+/// one total order, and at least one side sees the other's store: the
+/// consumer sees the item and does not sleep, or the producer sees the
+/// flag and notifies under the mutex. A missed wakeup is impossible, and
+/// the uncontended push pays only the seq_cst store plus one plain load
+/// of the flag. The wake check stays a load, not an RMW: the flag's
+/// cache line is touched by every push, and an RMW there costs
+/// measurable single-request throughput. A full ring is looser: the
+/// producer advertises with a seq_cst `producers_parked_` increment,
+/// the consumer reads it relaxed after freeing a slot, and the
+/// producer's 1 ms timed park bounds any missed wakeup.
+///
+/// There is no std::atomic_thread_fence: TSan does not model standalone
+/// fences, and GCC rejects them under -fsanitize=thread.
 ///
 /// Shutdown: Close() marks the ring, wakes every parked thread, and
 /// fails all future pushes; items already accepted remain poppable so
@@ -87,12 +99,13 @@ class MpscRing {
 
   /// TryPush without the consumer wakeup — the bulk-submission path
   /// pushes a whole batch with this and issues ONE WakeConsumer() per
-  /// ring afterwards, amortizing the seq_cst fence and (when the worker
-  /// is parked) the mutex/notify across the batch. The Dekker handshake
-  /// still holds batched: the consumer's advertise-fence-recheck in
-  /// WaitForItem sees either the LAST published item or the deferred
-  /// wake. Callers MUST follow a successful no-wake push with
-  /// WakeConsumer() before blocking on the result.
+  /// ring afterwards, amortizing the flag check and (when the worker is
+  /// parked) the mutex/notify across the batch. The Dekker handshake
+  /// still holds batched: every item's seq_cst store precedes the
+  /// deferred wake's flag load, so the consumer's advertise-then-recheck
+  /// in WaitForItem sees either the published items or the wake.
+  /// Callers MUST follow a successful no-wake push with WakeConsumer()
+  /// before blocking on the result.
   bool TryPushNoWake(T item) {
     if (closed_.load(std::memory_order_acquire)) return false;
     size_t pos = tail_.load(std::memory_order_relaxed);
@@ -113,13 +126,15 @@ class MpscRing {
       }
     }
     cell->value = item;
-    cell->seq.store(pos + 1, std::memory_order_release);
+    // seq_cst, not just release: the producer half of the parking
+    // handshake (see the class comment).
+    cell->seq.store(pos + 1, std::memory_order_seq_cst);
     return true;
   }
 
   /// Publishes deferred TryPushNoWake items to a possibly-parked
-  /// consumer (fence + conditional notify). Cheap when the consumer is
-  /// running: one fence and one relaxed load.
+  /// consumer (flag check + conditional notify). Cheap when the consumer
+  /// is running: one seq_cst load.
   void WakeConsumer() { WakeConsumerIfParked(); }
 
   /// Blocking push: spins briefly on full, then parks until the consumer
@@ -131,11 +146,10 @@ class MpscRing {
       std::this_thread::yield();
     }
     for (;;) {
-      // Advertise-fence-recheck: pairs with the consumer's fence after
-      // freeing a slot in TryPop, so either this push sees the space or
-      // the consumer sees the parked flag and notifies under the mutex.
-      producers_parked_.fetch_add(1, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
+      // Advertise, then recheck. TryPop reads the count relaxed, so a
+      // consumer freeing a slot concurrently may miss the advertisement;
+      // the 1 ms timed park below bounds what that costs.
+      producers_parked_.fetch_add(1, std::memory_order_seq_cst);
       if (TryPush(item)) {
         producers_parked_.fetch_sub(1, std::memory_order_relaxed);
         return true;
@@ -192,8 +206,9 @@ class MpscRing {
       std::this_thread::yield();
     }
     MutexLock lock(&park_mu_);
-    consumer_parked_.store(true, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // Advertise, then recheck through ItemReady — the consumer half of
+    // the handshake (see the class comment).
+    consumer_parked_.store(true, std::memory_order_seq_cst);
     item_cv_.Wait(park_mu_, [&] {
       return ItemReady() || closed_.load(std::memory_order_acquire);
     });
@@ -206,8 +221,7 @@ class MpscRing {
       LMKG_REQUIRES(consumer_role_) {
     if (ItemReady() || closed_.load(std::memory_order_acquire)) return true;
     MutexLock lock(&park_mu_);
-    consumer_parked_.store(true, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
+    consumer_parked_.store(true, std::memory_order_seq_cst);
     const bool ready = item_cv_.WaitUntil(park_mu_, deadline, [&] {
       return ItemReady() || closed_.load(std::memory_order_acquire);
     });
@@ -239,10 +253,12 @@ class MpscRing {
     T value{};
   };
 
+  // The seq load is seq_cst: after the consumer advertises itself, this
+  // recheck is the second half of its Dekker pair.
   bool ItemReady() const {
     const size_t pos = head_.load(std::memory_order_relaxed);
     const size_t seq =
-        cells_[pos & mask_].seq.load(std::memory_order_acquire);
+        cells_[pos & mask_].seq.load(std::memory_order_seq_cst);
     return static_cast<intptr_t>(seq) -
                static_cast<intptr_t>(pos + 1) >= 0;
   }
@@ -252,8 +268,7 @@ class MpscRing {
   }
 
   void WakeConsumerIfParked() {
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (consumer_parked_.load(std::memory_order_relaxed)) {
+    if (consumer_parked_.load(std::memory_order_seq_cst)) {
       MutexLock lock(&park_mu_);
       item_cv_.NotifyOne();
     }

@@ -1,10 +1,10 @@
 // Executor-feedback loop tests: the FeedbackCollector's bounded
 // never-blocking store and decayed q-error tracking, the deactivation
 // list (deactivate -> serve from fallback -> probe -> reactivate), the
-// training-set blender, AdaptiveLmkg's feedback ingestion and per-combo
-// model snapshots, the executor truth sink, the outlier buffer's online
-// insert + mutation hook, and the end-to-end incremental lifecycle
-// cycle. The concurrent-stress test targets the TSan CI leg.
+// training-set blender, AdaptiveLmkg's feedback ingestion, the executor
+// truth sink, the outlier buffer's online insert + mutation hook, and
+// the end-to-end feedback lifecycle cycle. The concurrent-stress test
+// targets the TSan CI leg.
 #include "serving/feedback_collector.h"
 
 #include <gtest/gtest.h>
@@ -243,9 +243,6 @@ TEST_F(FeedbackCollectorTest, ConcurrentFeedAndDrainIsRaceFree) {
       drained += collector.DrainTrainingPairs().size();
       (void)collector.UpdateDeactivation();
       collector.SetProbe(std::make_unique<ScriptedEstimator>(1.0));
-      collector.UpdateProbe([](core::CardinalityEstimator* probe) {
-        if (probe != nullptr) (void)probe->name();
-      });
       std::this_thread::yield();
     }
   });
@@ -455,7 +452,7 @@ TEST_F(BlendTest, OutlierBufferInsertKeepsTopAndFiresHook) {
   EXPECT_DOUBLE_EQ(buffer.EstimateCardinality(pool[1].query), 25.0);
 }
 
-// --- AdaptiveLmkg: feedback ingestion + per-combo snapshots ------------------
+// --- AdaptiveLmkg: feedback ingestion ---------------------------------------
 
 class AdaptiveFeedbackTest : public ::testing::Test {
  protected:
@@ -508,34 +505,7 @@ TEST_F(AdaptiveFeedbackTest, AdaptRetrainsComboFromIngestedFeedback) {
   EXPECT_EQ(model.pending_feedback_pairs(), 0u);
 }
 
-TEST_F(AdaptiveFeedbackTest, PerComboSnapshotRoundTripsExactly) {
-  core::AdaptiveLmkg donor(graph_, SmallConfig());
-  const core::AdaptiveLmkg::Combo combo{Topology::kStar, 2};
-
-  std::ostringstream blob;
-  ASSERT_TRUE(donor.SaveModel(combo, blob).ok());
-
-  core::AdaptiveLmkgConfig target_config = SmallConfig();
-  target_config.initial_combos.clear();
-  core::AdaptiveLmkg target(graph_, target_config);
-  ASSERT_FALSE(target.Covers(combo));
-  std::istringstream in(blob.str());
-  ASSERT_TRUE(target.LoadModel(combo, in).ok());
-  EXPECT_TRUE(target.Covers(combo));
-
-  for (auto& lq : StarWorkload(graph_, 2, 12, 41))
-    EXPECT_DOUBLE_EQ(target.EstimateCardinality(lq.query),
-                     donor.EstimateCardinality(lq.query));
-
-  // A combo without a model cannot snapshot; garbage cannot load.
-  std::ostringstream missing;
-  EXPECT_FALSE(
-      donor.SaveModel({Topology::kChain, 3}, missing).ok());
-  std::istringstream garbage("not a combo snapshot");
-  EXPECT_FALSE(target.LoadModel(combo, garbage).ok());
-}
-
-// --- end-to-end: lifecycle drains feedback and swaps incrementally -----------
+// --- end-to-end: lifecycle drains feedback and swaps every replica ---------
 
 TEST_F(AdaptiveFeedbackTest, LifecycleFeedbackCycleSwapsIncrementally) {
   core::AdaptiveLmkg shadow(graph_, SmallConfig());
@@ -550,14 +520,16 @@ TEST_F(AdaptiveFeedbackTest, LifecycleFeedbackCycleSwapsIncrementally) {
   std::ostringstream seed_blob;
   ASSERT_TRUE(shadow.Save(seed_blob).ok());
   std::vector<std::unique_ptr<core::CardinalityEstimator>> replicas;
-  replicas.push_back(factory(seed_blob.str()));
+  for (int r = 0; r < 2; ++r) replicas.push_back(factory(seed_blob.str()));
   EstimatorService service(std::move(replicas), service_config);
+  ASSERT_EQ(service.num_replicas(), 2u);
 
   ModelLifecycleConfig lifecycle_config;
   lifecycle_config.background = false;
   lifecycle_config.min_samples_per_cycle = 1000;  // only feedback triggers
   lifecycle_config.feedback = &collector;
   ModelLifecycle lifecycle(&service, &shadow, factory, lifecycle_config);
+  EXPECT_FALSE(collector.has_probe());
 
   // Serve + execute a star-2 workload: estimates are noted in the
   // collector, truths flow back as if from the executor.
@@ -572,27 +544,40 @@ TEST_F(AdaptiveFeedbackTest, LifecycleFeedbackCycleSwapsIncrementally) {
   EXPECT_GE(report.feedback_pairs, 8u);
   ASSERT_EQ(report.adapt.updated.size(), 1u);
   EXPECT_TRUE(report.adapt.created.empty());
+  EXPECT_TRUE(report.adapt.dropped.empty());
   EXPECT_TRUE(report.swapped);
-  // Only weights changed: the swap shipped just the retrained combo,
-  // loaded into the live replica in place.
+  // Only weights changed: the swap counts as incremental, and it went
+  // through the one push path — every replica swapped from a snapshot,
+  // one epoch advance, and a probe rehydrated from the same snapshot.
   EXPECT_TRUE(report.incremental);
+  EXPECT_EQ(lifecycle.swaps(), 1u);
   EXPECT_EQ(lifecycle.incremental_swaps(), 1u);
+  EXPECT_EQ(report.epoch, 1u);
   EXPECT_EQ(service.epoch(), 1u);
-  // The first incremental swap lazily installed the recovery probe.
   EXPECT_TRUE(collector.has_probe());
 
-  // The served replica now matches the retrained shadow bit for bit.
+  // Every served estimate, on either shard, equals a replica rehydrated
+  // from the retrained shadow's snapshot, bit for bit.
   std::ostringstream blob;
   ASSERT_TRUE(shadow.Save(blob).ok());
   auto reference = factory(blob.str());
   for (const auto& lq : labeled)
-    EXPECT_DOUBLE_EQ(service.Estimate(lq.query),
-                     reference->EstimateCardinality(lq.query));
+    EXPECT_EQ(service.Estimate(lq.query),
+              reference->EstimateCardinality(lq.query));
+  for (size_t r = 0; r < service.num_replicas(); ++r) {
+    service.WithReplica(r, [&](core::CardinalityEstimator* replica) {
+      for (const auto& lq : labeled)
+        EXPECT_EQ(replica->EstimateCardinality(lq.query),
+                  reference->EstimateCardinality(lq.query))
+            << "replica " << r;
+    });
+  }
 
   // Quiet cycle: nothing to drain, nothing swaps, epoch holds.
   LifecycleReport steady = lifecycle.RunOnce();
   EXPECT_EQ(steady.feedback_pairs, 0u);
   EXPECT_FALSE(steady.swapped);
+  EXPECT_FALSE(steady.incremental);
   EXPECT_EQ(service.epoch(), 1u);
 }
 
